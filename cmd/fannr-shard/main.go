@@ -79,7 +79,7 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", 4, "shard count S (mode all; mode coord infers S from -targets)")
 	flag.IntVar(&cfg.shardID, "shard-id", 0, "this host's shard index (mode host)")
 	flag.StringVar(&cfg.targets, "targets", "", "comma-separated shard host base URLs, in shard order (mode coord)")
-	flag.StringVar(&cfg.engines, "engines", "INE", "engines each host builds: comma-separated from INE,A*,PHL,GTree,CH")
+	flag.StringVar(&cfg.engines, "engines", "INE", "engines each host builds: comma-separated from INE,A*,PHL,GTree,CH; the first serves requests that name none")
 	flag.IntVar(&cfg.workers, "workers", 0, "index-build workers (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.cacheEntries, "cache-entries", 4096, "coordinator exact-result cache capacity (0 = disabled); keys are stamped with the plan epoch and healthy shard set")
 	flag.IntVar(&cfg.hostCache, "host-cache-entries", 1024, "per-host result cache capacity (0 = disabled)")
@@ -165,81 +165,26 @@ func buildPlan(g *fannr.Graph, shards int) (*shard.Plan, error) {
 	return shard.NewPlan(g, tr, shard.PlanOptions{Shards: shards})
 }
 
+// defaultEngine is the engine for requests that name none: the first
+// -engines entry, which every host builds.
+func defaultEngine(names string) string {
+	for _, name := range strings.Split(names, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			return name
+		}
+	}
+	return ""
+}
+
 func run(cfg config) error {
 	g, err := fannr.LoadDataset(cfg.dataset, cfg.scale)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("network: %s |V|=%d |E|=%d\n", g.Name(), g.NumNodes(), g.NumEdges())
-
-	var handler http.Handler
-	switch cfg.mode {
-	case "host":
-		factories, order, err := buildEngines(g, cfg.engines, cfg.workers)
-		if err != nil {
-			return err
-		}
-		h, err := newHost(cfg.shardID, g, cfg, factories, order)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("shard host %d: engines %s\n", cfg.shardID, strings.Join(order, ", "))
-		handler = h.Handler()
-
-	case "all", "coord":
-		var transports []shard.Transport
-		S := cfg.shards
-		if cfg.mode == "coord" {
-			var urls []string
-			for _, t := range strings.Split(cfg.targets, ",") {
-				if t = strings.TrimSpace(t); t != "" {
-					urls = append(urls, t)
-				}
-			}
-			if len(urls) == 0 {
-				return errors.New("-mode coord needs -targets")
-			}
-			S = len(urls)
-			for _, u := range urls {
-				transports = append(transports, &shard.HTTPTransport{URL: u})
-			}
-		}
-		plan, err := buildPlan(g, S)
-		if err != nil {
-			return err
-		}
-		if cfg.mode == "all" {
-			factories, order, err := buildEngines(g, cfg.engines, cfg.workers)
-			if err != nil {
-				return err
-			}
-			for s := 0; s < S; s++ {
-				h, err := newHost(s, g, cfg, factories, order)
-				if err != nil {
-					return err
-				}
-				transports = append(transports, shard.InProc{Host: h})
-			}
-		}
-		coord, err := shard.NewCoordinator(plan, transports, shard.CoordinatorOptions{
-			BreakerThreshold: cfg.breakerThreshold,
-			BreakerCooldown:  cfg.breakerCooldown,
-			MaxFanout:        cfg.maxFanout,
-			RetryAfter:       cfg.retryAfter,
-			CacheEntries:     cfg.cacheEntries,
-			Registry:         obs.NewRegistry(),
-		})
-		if err != nil {
-			return err
-		}
-		for s := 0; s < S; s++ {
-			fmt.Printf("shard %d: %d vertices via %s\n", s, len(plan.Group(s)), transports[s].Target())
-		}
-		fmt.Printf("plan: S=%d epoch=%d\n", plan.Shards(), plan.Epoch)
-		handler = coord.Handler()
-
-	default:
-		return fmt.Errorf("-mode must be all, host, or coord (got %q)", cfg.mode)
+	handler, err := newHandler(cfg, g)
+	if err != nil {
+		return err
 	}
 
 	httpSrv := &http.Server{Addr: cfg.addr, Handler: handler}
@@ -270,4 +215,79 @@ func run(cfg config) error {
 	}
 	fmt.Println("bye")
 	return nil
+}
+
+// newHandler builds the serving surface of cfg.mode over g.
+func newHandler(cfg config, g *fannr.Graph) (http.Handler, error) {
+	var handler http.Handler
+	switch cfg.mode {
+	case "host":
+		factories, order, err := buildEngines(g, cfg.engines, cfg.workers)
+		if err != nil {
+			return nil, err
+		}
+		h, err := newHost(cfg.shardID, g, cfg, factories, order)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Printf("shard host %d: engines %s\n", cfg.shardID, strings.Join(order, ", "))
+		handler = h.Handler()
+
+	case "all", "coord":
+		var transports []shard.Transport
+		S := cfg.shards
+		if cfg.mode == "coord" {
+			var urls []string
+			for _, t := range strings.Split(cfg.targets, ",") {
+				if t = strings.TrimSpace(t); t != "" {
+					urls = append(urls, t)
+				}
+			}
+			if len(urls) == 0 {
+				return nil, errors.New("-mode coord needs -targets")
+			}
+			S = len(urls)
+			for _, u := range urls {
+				transports = append(transports, &shard.HTTPTransport{URL: u})
+			}
+		}
+		plan, err := buildPlan(g, S)
+		if err != nil {
+			return nil, err
+		}
+		if cfg.mode == "all" {
+			factories, order, err := buildEngines(g, cfg.engines, cfg.workers)
+			if err != nil {
+				return nil, err
+			}
+			for s := 0; s < S; s++ {
+				h, err := newHost(s, g, cfg, factories, order)
+				if err != nil {
+					return nil, err
+				}
+				transports = append(transports, shard.InProc{Host: h})
+			}
+		}
+		coord, err := shard.NewCoordinator(plan, transports, shard.CoordinatorOptions{
+			DefaultEngine:    defaultEngine(cfg.engines),
+			BreakerThreshold: cfg.breakerThreshold,
+			BreakerCooldown:  cfg.breakerCooldown,
+			MaxFanout:        cfg.maxFanout,
+			RetryAfter:       cfg.retryAfter,
+			CacheEntries:     cfg.cacheEntries,
+			Registry:         obs.NewRegistry(),
+		})
+		if err != nil {
+			return nil, err
+		}
+		for s := 0; s < S; s++ {
+			fmt.Printf("shard %d: %d vertices via %s\n", s, len(plan.Group(s)), transports[s].Target())
+		}
+		fmt.Printf("plan: S=%d epoch=%d\n", plan.Shards(), plan.Epoch)
+		handler = coord.Handler()
+
+	default:
+		return nil, fmt.Errorf("-mode must be all, host, or coord (got %q)", cfg.mode)
+	}
+	return handler, nil
 }

@@ -233,15 +233,8 @@ type (
 // BuildPHL constructs hub labels for g.
 func BuildPHL(g *Graph, opts PHLOptions) (*PHLIndex, error) { return phl.Build(g, opts) }
 
-// ReadPHL loads hub labels previously persisted with PHLIndex.Save.
-func ReadPHL(r io.Reader) (*PHLIndex, error) { return phl.Read(r) }
-
 // BuildGTree constructs a G-tree for g.
 func BuildGTree(g *Graph, opts GTreeOptions) (*GTree, error) { return gtree.Build(g, opts) }
-
-// ReadGTree loads a G-tree previously persisted with GTree.Save,
-// reattaching it to the graph it was built on.
-func ReadGTree(r io.Reader, g *Graph) (*GTree, error) { return gtree.Read(r, g) }
 
 // LoadOptions controls how a persisted index file is opened by LoadPHL
 // and LoadGTree.
@@ -318,13 +311,6 @@ type (
 func NewWorkloadGenerator(g *Graph, seed int64) *WorkloadGenerator {
 	return workload.NewGenerator(g, seed)
 }
-
-// DefaultWorkloadParams returns the paper's defaults (d=0.001, A=10%,
-// M=128, C=1, φ=0.5).
-func DefaultWorkloadParams() WorkloadParams { return workload.DefaultParams() }
-
-// POITableIV lists the paper's Table IV POI layers.
-func POITableIV() []POILayer { return workload.TableIV }
 
 // FindPOILayer returns the Table IV layer with the given name.
 func FindPOILayer(name string) (POILayer, error) { return workload.FindPOILayer(name) }

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"fannr/internal/graph"
@@ -166,27 +167,31 @@ func (q *Query) Validate(g *graph.Graph) error {
 	return nil
 }
 
-// dedupe canonicalizes one id set. With a Scratch attached, the common
-// duplicate-free case is detected by a sort over the reusable probe
-// buffer — zero allocations — and only actual duplicates fall back to
-// the map-based path.
+// dedupe canonicalizes one id set. The common duplicate-free case is
+// detected by a sort over a reusable probe buffer — the Scratch's when
+// one is attached, else one lent by probes — with zero allocations; only
+// actual duplicates fall back to the map-based path.
 func (q *Query) dedupe(ids []graph.NodeID) []graph.NodeID {
-	if s := q.Scratch; s != nil {
-		s.ids = append(s.ids[:0], ids...)
-		slices.Sort(s.ids)
-		clean := true
-		for i := 1; i < len(s.ids); i++ {
-			if s.ids[i] == s.ids[i-1] {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			return ids
+	var buf *[]graph.NodeID
+	if q.Scratch != nil {
+		buf = &q.Scratch.ids
+	} else {
+		buf = probes.Get().(*[]graph.NodeID)
+		defer probes.Put(buf)
+	}
+	*buf = append((*buf)[:0], ids...)
+	slices.Sort(*buf)
+	for i := 1; i < len(*buf); i++ {
+		if (*buf)[i] == (*buf)[i-1] {
+			return dedupeNodes(ids)
 		}
 	}
-	return dedupeNodes(ids)
+	return ids
 }
+
+// probes lends dedupe its sort buffer when a query carries no Scratch
+// (request normalisation validates before any engine checkout).
+var probes = sync.Pool{New: func() any { return new([]graph.NodeID) }}
 
 // dedupeNodes returns ids with duplicates removed, keeping the first
 // occurrence of each id in order. The input is returned as-is when it is
@@ -211,10 +216,12 @@ func dedupeNodes(ids []graph.NodeID) []graph.NodeID {
 }
 
 // Answer is the result triple (p*, Q*_φ, d*) of Definition 2.
+//
+// The JSON tags are the shard RPC's answer shape.
 type Answer struct {
-	P      graph.NodeID
-	Dist   float64
-	Subset []graph.NodeID // the optimal flexible subset Q*_φ
+	P      graph.NodeID   `json:"p"`
+	Dist   float64        `json:"dist"`
+	Subset []graph.NodeID `json:"subset,omitempty"` // the optimal flexible subset Q*_φ
 }
 
 // ErrNoResult is returned when no data point can reach ⌈φ|Q|⌉ query

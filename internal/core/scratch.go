@@ -19,9 +19,9 @@ import (
 //
 // Aliasing contract: when Query.Scratch is set, Answer.Subset may alias
 // Scratch memory and is invalidated by the next query run with the same
-// Scratch. Callers that retain answers past that point (caches, batch
-// executors) must copy the subset first; callers that run one query per
-// checkout need not.
+// Scratch. Callers that retain answers past that point (caches,
+// responses built after the checkout) must copy the subset first;
+// callers that run one query per checkout need not.
 type Scratch struct {
 	ids    []graph.NodeID // Validate: sorted-id dedup probe
 	subset []graph.NodeID // answer subset buffer

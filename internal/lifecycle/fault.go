@@ -88,42 +88,42 @@ func (r *Ranges) Lookup(addr uintptr) (string, bool) {
 // it, so engine bugs never masquerade as index faults.
 type addressable interface{ Addr() uintptr }
 
-// Guard arms fault containment for the calling goroutine and returns
-// the deferred half. Use it in exactly this shape, before any code that
-// may touch a mapped index:
+// Arm enables fault containment for the calling goroutine and returns
+// the previous setting, for Guard to restore.
+func Arm() bool { return debug.SetPanicOnFault(true) }
+
+// Guard is the deferred half of fault containment. Use it in exactly
+// this shape, before any code that may touch a mapped index:
 //
-//	defer ranges.Guard(onFault)(&err)
+//	defer ranges.Guard(lifecycle.Arm(), onFault, &err)
 //
-// The call itself runs at defer-statement time and sets
-// debug.SetPanicOnFault(true), so a SIGBUS on a mapped page panics this
-// goroutine instead of killing the process. The returned closure runs
-// at defer time: it restores the previous panic-on-fault setting,
-// recovers, and classifies. A memory fault whose address falls inside a
-// registered range becomes an *IndexFault assigned to *errp (after
-// notifying onFault, which is where the server quarantines the index
-// and bumps fannr_index_faults_total). Any other panic — including
-// memory faults outside registered ranges and plain engine panics — is
-// re-raised untouched, so the existing recovery layers keep treating it
-// as the bug it is.
-func (r *Ranges) Guard(onFault func(*IndexFault)) func(errp *error) {
-	prev := debug.SetPanicOnFault(true)
-	return func(errp *error) {
-		debug.SetPanicOnFault(prev)
-		p := recover()
-		if p == nil {
+// Arm runs at defer-statement time and sets debug.SetPanicOnFault(true),
+// so a SIGBUS on a mapped page panics this goroutine instead of killing
+// the process. Guard runs at defer time: it restores the previous
+// panic-on-fault setting, recovers, and classifies. A memory fault whose
+// address falls inside a registered range becomes an *IndexFault
+// assigned to *errp (after notifying onFault, which is where the server
+// quarantines the index and bumps fannr_index_faults_total). Any other
+// panic — including memory faults outside registered ranges and plain
+// engine panics — is re-raised untouched, so the existing recovery
+// layers keep treating it as the bug it is. Being deferred directly (no
+// returned closure) keeps the guard allocation-free.
+func (r *Ranges) Guard(prev bool, onFault func(*IndexFault), errp *error) {
+	debug.SetPanicOnFault(prev)
+	p := recover()
+	if p == nil {
+		return
+	}
+	if ae, ok := p.(addressable); ok {
+		addr := ae.Addr()
+		if name, found := r.Lookup(addr); found {
+			f := &IndexFault{Index: name, Addr: addr, Cause: fmt.Sprint(p)}
+			if onFault != nil {
+				onFault(f)
+			}
+			*errp = f
 			return
 		}
-		if ae, ok := p.(addressable); ok {
-			addr := ae.Addr()
-			if name, found := r.Lookup(addr); found {
-				f := &IndexFault{Index: name, Addr: addr, Cause: fmt.Sprint(p)}
-				if onFault != nil {
-					onFault(f)
-				}
-				*errp = f
-				return
-			}
-		}
-		panic(p)
 	}
+	panic(p)
 }

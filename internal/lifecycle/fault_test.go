@@ -17,7 +17,7 @@ var sink byte
 // touchLast reads the last byte of data under the guard, returning the
 // classified error (nil when the read succeeds).
 func touchLast(r *Ranges, data []byte, onFault func(*IndexFault)) (err error) {
-	defer r.Guard(onFault)(&err)
+	defer r.Guard(Arm(), onFault, &err)
 	sink = data[len(data)-1]
 	return nil
 }
@@ -102,7 +102,7 @@ func TestGuardRepanicsEngineBugs(t *testing.T) {
 		defer func() { p = recover() }()
 		func() {
 			var err error
-			defer r.Guard(nil)(&err)
+			defer r.Guard(Arm(), nil, &err)
 			panic("engine bug")
 		}()
 		return nil
@@ -117,7 +117,7 @@ func TestGuardRepanicsEngineBugs(t *testing.T) {
 		defer func() { p = recover() }()
 		func() {
 			var err error
-			defer r.Guard(nil)(&err)
+			defer r.Guard(Arm(), nil, &err)
 			var ptr *int
 			sink = byte(*ptr)
 		}()

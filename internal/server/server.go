@@ -14,7 +14,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -22,7 +21,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,6 +29,7 @@ import (
 	"fannr/internal/graph"
 	"fannr/internal/lifecycle"
 	"fannr/internal/obs"
+	"fannr/internal/pipeline"
 	"fannr/internal/qcache"
 	"fannr/internal/resil"
 	"fannr/internal/sp"
@@ -83,8 +82,8 @@ type Options struct {
 	// transitively; answers served off-ladder are stamped
 	// "degraded": true with the engine that actually answered.
 	Fallback map[string]string
-	// RetryAfter is the hint attached to 503 responses (<= 0 defaults to
-	// 1s).
+	// RetryAfter is the hint attached to 503 responses (rounded to whole
+	// seconds, at least 1).
 	RetryAfter time.Duration
 	// Metrics is the registry /metrics exposes (nil = a fresh private
 	// one). Inject a registry to scrape several servers together or to
@@ -114,14 +113,6 @@ type Options struct {
 	// (cancellation, shed) are never shared — a waiting follower is
 	// promoted and recomputes.
 	Coalesce bool
-	// BatchWindow groups /fann queries that share an engine and a query
-	// point set arriving within the window onto one engine checkout,
-	// evaluated in one pass (0 disables batching). The first query of a
-	// group pays the window as added latency.
-	BatchWindow time.Duration
-	// BatchMax flushes a batch early once it holds this many queries
-	// (0 = 32).
-	BatchMax int
 	// SlowLogEntries sizes the always-on slow-query log served at
 	// /debug/slow: the N slowest requests plus the N most recent
 	// erroring/degraded requests are retained with their full traces
@@ -166,12 +157,10 @@ type Server struct {
 	reg     *obs.Registry
 	logger  *slog.Logger
 	pprof   bool
-	// qc/flight/batcher are the acceleration layers, each independently
-	// optional (nil = off). All three are keyed by canonical query
-	// fingerprints, so permuted-but-equal P/Q share entries and flights.
-	qc      *qcache.Cache
-	flight  *qcache.Flight
-	batcher *qcache.Batcher
+	// pipe runs every /fann query: result cache and coalescing (each
+	// optional, nil = off), checkout through s.checkout, and the fault
+	// guard over s.ranges.
+	pipe pipeline.Pipeline
 	// indexSizes records the size of each preprocessing index for the
 	// fannr_index_bytes gauge and /meta, split into heap-resident bytes
 	// and mmap-backed bytes (zero for heap-loaded or built indexes) so
@@ -244,30 +233,24 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 	if s.logger == nil {
 		s.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	if s.retryAfter <= 0 {
-		s.retryAfter = time.Second
-	}
 	for from, to := range opts.Fallback {
 		s.fallback[from] = to
 	}
 	s.dist.New = func() any { return sp.NewDijkstra(g) }
 	s.distGate = core.NewGate("dist", s.limits)
-	s.qc = qcache.New(qcache.Config{MaxEntries: opts.CacheEntries, TTL: opts.CacheTTL})
+	s.pipe = pipeline.Pipeline{
+		G:        g,
+		Cache:    qcache.New(qcache.Config{MaxEntries: opts.CacheEntries, TTL: opts.CacheTTL}),
+		Checkout: s.checkout,
+		Ranges:   s.ranges,
+		OnFault:  s.noteIndexFault,
+	}
 	if opts.Coalesce {
 		// Invalid-query and no-result outcomes are properties of the query
 		// and safe to share; everything else is per-caller.
-		s.flight = qcache.NewFlight(func(err error) bool {
+		s.pipe.Flight = qcache.NewFlight(func(err error) bool {
 			return errors.Is(err, core.ErrInvalid) || errors.Is(err, core.ErrNoResult)
 		})
-	}
-	if opts.BatchWindow > 0 {
-		s.batcher = qcache.NewBatcher(opts.BatchWindow, opts.BatchMax,
-			s.batchSource,
-			func(n int) {
-				if m := s.metrics; m != nil && m.batchSize != nil {
-					m.batchSize.Observe(float64(n))
-				}
-			})
 	}
 	reg := func(name string, factory core.EngineFactory) {
 		s.pools[name] = core.NewBoundedEnginePool(name, s.poolCapacity(), s.limits, factory)
@@ -436,9 +419,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Handler returns the HTTP routes and freezes engine registration. Every
 // route runs behind panic recovery: a panicking handler answers 500 with
-// the standard error shape instead of tearing the connection down (the
-// engine a /fann handler had checked out is dropped, never returned to
-// its pool — see handleFANN).
+// the standard error shape instead of tearing the connection down. (An
+// engine panic never gets that far: the pipeline drops the engine and
+// answers a classified internal error.)
 func (s *Server) Handler() http.Handler {
 	s.mu.Lock()
 	s.frozen = true
@@ -465,117 +448,25 @@ func (s *Server) Handler() http.Handler {
 	}
 	// instrument sits OUTSIDE panic recovery so a recovered panic's 500
 	// still lands in the request series.
-	return s.instrument(recoverPanics(mux))
-}
-
-// recoverPanics converts handler panics into 500 responses. It rethrows
-// http.ErrAbortHandler (the net/http idiom for deliberately dropping a
-// connection) so streaming aborts keep working.
-func recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler {
-				panic(rec)
-			}
-			fail(w, fmt.Errorf("internal error: %v", rec))
-		}()
-		next.ServeHTTP(w, r)
-	})
+	return s.instrument(pipeline.RecoverPanics(mux))
 }
 
 // ErrorResponse is the stable JSON error shape every non-2xx response
-// carries. Code is machine-readable and maps 1:1 to the HTTP status:
-// "invalid" (400), "not_found" (404), "too_large" (413),
-// "overloaded" (503, with a Retry-After header), "timeout" (504),
-// "internal" (500).
-type ErrorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
-// errStatus classifies an error into its HTTP status and stable code.
-// The taxonomy: malformed or semantically invalid requests are the
-// client's fault (400/413); a well-formed query with no answer is 404; a
-// request shed by admission control or an open breaker is 503, the one
-// retryable server-fault class — a quarantined or mid-swap index adds
-// the sibling codes "index_fault" (the request that hit the rotted page)
-// and "overloaded" (requests racing the quarantine); a query that
-// outlived its deadline or its client is 504; everything unexpected —
-// including handler panics — is a 500, never blamed on the client.
-func errStatus(err error) (int, string) {
-	var tooBig *http.MaxBytesError
-	var ifault *lifecycle.IndexFault
-	switch {
-	case errors.As(err, &tooBig):
-		return http.StatusRequestEntityTooLarge, "too_large"
-	case errors.As(err, &ifault):
-		return http.StatusServiceUnavailable, "index_fault"
-	case errors.Is(err, lifecycle.ErrUnavailable):
-		return http.StatusServiceUnavailable, "overloaded"
-	case errors.Is(err, core.ErrInvalid):
-		return http.StatusBadRequest, "invalid"
-	case errors.Is(err, core.ErrNoResult):
-		return http.StatusNotFound, "not_found"
-	case errors.Is(err, core.ErrSaturated):
-		return http.StatusServiceUnavailable, "overloaded"
-	case errors.Is(err, core.ErrCanceled),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout, "timeout"
-	default:
-		return http.StatusInternalServerError, "internal"
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// fail classifies err and writes the error response.
-func fail(w http.ResponseWriter, err error) {
-	status, code := errStatus(err)
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
-}
-
-// retryAfterHeader attaches the server's Retry-After hint to a 503.
-func (s *Server) retryAfterHeader(w http.ResponseWriter) {
-	secs := int(s.retryAfter.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
-
-// shed answers 503 "overloaded" with the server's Retry-After hint — the
-// load-shedding response for saturated pools and fully-open ladders.
-func (s *Server) shed(w http.ResponseWriter, err error) {
-	s.retryAfterHeader(w)
-	writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error(), Code: "overloaded"})
-}
-
-// invalidf builds a client-fault error (maps to 400).
-func invalidf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", core.ErrInvalid, fmt.Sprintf(format, args...))
-}
+// carries (see pipeline.Classify for the taxonomy).
+type ErrorResponse = pipeline.ErrorResponse
 
 // handleHealthz is liveness (also served as the legacy /health): 200
 // while the process should keep receiving traffic, 503 once graceful
 // drain begins so load balancers stop routing to a dying server.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		pipeline.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "draining",
 			"uptime": time.Since(s.started).String(),
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	pipeline.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
 		"uptime": time.Since(s.started).String(),
 	})
@@ -602,22 +493,22 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 			quarantined[name] = reason
 		}
 	}
-	cache := map[string]any{"enabled": s.qc != nil}
-	if cm := s.qc.Metrics(); s.qc != nil {
+	cache := map[string]any{"enabled": s.pipe.Cache != nil}
+	if cm := s.pipe.Cache.Metrics(); s.pipe.Cache != nil {
 		cache["entries"] = cm.Entries
 		cache["hit_rate"] = cacheHitRate(cm)
 	}
 	switch {
 	case s.draining.Load():
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		pipeline.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "draining", "breakers": open, "quarantined": quarantined, "cache": cache,
 		})
 	case len(open) > 0 || len(quarantined) > 0:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		pipeline.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "degraded", "breakers": open, "quarantined": quarantined, "cache": cache,
 		})
 	default:
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "cache": cache})
+		pipeline.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "cache": cache})
 	}
 }
 
@@ -657,11 +548,10 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	// from the shape alone; the counters mirror the fannr_cache_* series
 	// (both read the same qcache snapshot).
 	cache := map[string]any{
-		"enabled":    s.qc != nil,
-		"coalescing": s.flight != nil,
-		"batching":   s.batcher != nil,
+		"enabled":    s.pipe.Cache != nil,
+		"coalescing": s.pipe.Flight != nil,
 	}
-	if cm := s.qc.Metrics(); s.qc != nil {
+	if cm := s.pipe.Cache.Metrics(); s.pipe.Cache != nil {
 		cache["entries"] = cm.Entries
 		cache["bytes"] = cm.Bytes
 		cache["hits"] = cm.HitsExact + cm.HitsSubsume
@@ -703,7 +593,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 		}
 		indexes[name] = entry
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	pipeline.WriteJSON(w, http.StatusOK, map[string]any{
 		"dataset": s.g.Name(),
 		"nodes":   s.g.NumNodes(),
 		"edges":   s.g.NumEdges(),
@@ -721,16 +611,8 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// FANNRequest is the /fann request body.
-type FANNRequest struct {
-	P      []graph.NodeID `json:"p"`
-	Q      []graph.NodeID `json:"q"`
-	Phi    float64        `json:"phi"`
-	Agg    string         `json:"agg"`    // "max" | "sum"
-	Algo   string         `json:"algo"`   // "gd" | "rlist" | "ier" | "exactmax" | "apxsum"
-	Engine string         `json:"engine"` // one of /meta's engines (default "INE")
-	K      int            `json:"k"`      // answers to return (default 1)
-}
+// FANNRequest is the /fann request body; an omitted engine is "INE".
+type FANNRequest = pipeline.Request
 
 // FANNAnswer is one result of a /fann call.
 type FANNAnswer struct {
@@ -754,12 +636,8 @@ type FANNResponse struct {
 	Explain *obs.Report `json:"explain,omitempty"`
 }
 
-// maxFANNBody bounds the /fann request body (point sets can be large but
-// not unbounded); maxDistBody bounds /dist.
-const (
-	maxFANNBody = 16 << 20
-	maxDistBody = 1 << 20
-)
+// maxDistBody bounds the /dist request body.
+const maxDistBody = 1 << 20
 
 func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 	// Per-request trace: decode / admit / compute spans feed the stage
@@ -772,11 +650,10 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	outcome := "ok"
 	served, degraded := "", false
-	cacheKind := "" // "exact" | "coalesced" | "" (computed or cache off)
-	leaderID := ""  // coalesce/batch leader this request's answer came from
-	batchSize := 0  // members in this request's flush (0 = not batched)
+	cacheKind := "" // "exact" | "coalesced" | "subsume" | "" (computed or cache off)
 	var req FANNRequest
-	var q core.Query
+	var q pipeline.Query
+	var out pipeline.Outcome
 	defer func() {
 		elapsed := time.Since(start)
 		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "fann",
@@ -786,15 +663,14 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 			slog.Bool("degraded", degraded),
 			slog.String("algo", req.Algo),
 			slog.Float64("phi", req.Phi),
-			slog.Int("np", len(q.P)),
-			slog.Int("nq", len(q.Q)),
-			slog.Int("k", req.K),
+			slog.Int("np", len(q.Core.P)),
+			slog.Int("nq", len(q.Core.Q)),
+			slog.Int("k", q.K),
 			slog.String("outcome", outcome),
 			slog.Duration("duration", elapsed),
 			slog.Duration("decode", tr.Dur("decode")),
 			slog.Duration("cache_lookup", tr.Dur("cache")),
 			slog.Duration("coalesce", tr.Dur("coalesce")),
-			slog.Duration("batch", tr.Dur("batch")),
 			slog.Duration("admit", tr.Dur("admit")),
 			slog.Duration("pin", tr.Dur("pin")),
 			slog.Duration("compute", tr.Dur("compute")),
@@ -802,8 +678,7 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 			slog.Int64("settled", stats.Settled),
 			slog.Int64("heap_pops", stats.HeapPops),
 			slog.String("cache", cacheKind),
-			slog.String("leader", leaderID),
-			slog.Int("batch_size", batchSize),
+			slog.String("leader", out.Leader),
 			slog.Int64("cache_hits", stats.CacheHits),
 			slog.Int64("cache_misses", stats.CacheMisses),
 		)
@@ -826,42 +701,23 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 	}()
 	// failq classifies, records the outcome code, and writes the error.
 	failq := func(err error) {
-		_, outcome = errStatus(err)
-		fail(w, err)
+		_, outcome = pipeline.Classify(err)
+		pipeline.Fail(w, err, s.retryAfter)
 	}
 
 	endDecode := tr.Start("decode")
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFANNBody)).Decode(&req); err != nil {
-		endDecode()
-		failq(decodeErr(err))
-		return
+	err := pipeline.DecodeJSON(w, r, pipeline.MaxBody, &req)
+	if err == nil {
+		q, err = pipeline.Normalize(s.g, &req, "INE")
 	}
-	q = core.Query{P: req.P, Q: req.Q, Phi: req.Phi, Stats: stats, Trace: tr}
-	switch req.Agg {
-	case "", "max":
-		q.Agg = core.Max
-	case "sum":
-		q.Agg = core.Sum
-	default:
-		endDecode()
-		failq(invalidf("unknown aggregate %q", req.Agg))
-		return
-	}
-	if err := q.Validate(s.g); err != nil {
-		endDecode()
+	endDecode()
+	if err != nil {
 		failq(err)
 		return
 	}
-	endDecode()
-	if req.K < 1 {
-		req.K = 1
-	}
-	engineName := req.Engine
-	if engineName == "" {
-		engineName = "INE"
-	}
-	if !s.hasEngine(engineName) {
-		failq(invalidf("unknown engine %q (see /meta)", engineName))
+	q.Core.Stats, q.Core.Trace = stats, tr
+	if !s.hasEngine(q.Engine) {
+		failq(pipeline.Invalidf("unknown engine %q (see /meta)", q.Engine))
 		return
 	}
 
@@ -879,18 +735,18 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 
 	// Walk the breaker/fallback ladder to the engine that will serve.
 	var probe, ok bool
-	served, degraded, probe, ok = s.routeEngine(engineName)
+	served, degraded, probe, ok = s.routeEngine(q.Engine)
 	if !ok {
-		outcome = "overloaded"
-		s.shed(w, fmt.Errorf("engine %q unavailable: breaker open and no closed fallback", engineName))
+		failq(fmt.Errorf("engine %q unavailable: breaker open and no closed fallback: %w", q.Engine, core.ErrSaturated))
 		return
 	}
 	breaker := s.breakers[served]
 	em := s.metrics.engines[served]
+	gen := s.engineGeneration(served)
 	root := tr.Root()
-	root.SetAttr("engine", engineName)
+	root.SetAttr("engine", q.Engine)
 	root.SetAttr("served", served)
-	if gen := s.engineGeneration(served); gen != 0 {
+	if gen != 0 {
 		root.SetAttr("generation", gen)
 	}
 	if degraded {
@@ -920,323 +776,58 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	// Acceleration layers: canonical fingerprints make permuted-but-equal
-	// P/Q share cache entries, flights and batches. Half-open probes
-	// bypass every layer — a probe exists to exercise the engine, and a
-	// cache hit or shared flight would "prove" recovery without touching
-	// it (the deferred guard above fails an unreported probe).
-	accel := (s.qc != nil || s.flight != nil || s.batcher != nil) && !probe
-	var rkey qcache.ResultKey
-	if accel {
-		algo := req.Algo
-		if algo == "" {
-			algo = "gd"
-		}
-		rkey = qcache.ResultKey{
-			Engine: served, Algo: algo, Agg: q.Agg, Phi: q.Phi, K: req.K,
-			P: qcache.FingerprintNodes(q.P), Q: qcache.FingerprintNodes(q.Q),
-		}
-		// Reloadable engines stamp the index generation into the key: a
-		// swap naturally invalidates every result computed on the old
-		// index, and coalesced flights never pair queries across
-		// generations.
-		if gen := s.engineGeneration(served); gen != 0 {
-			rkey.Engine = fmt.Sprintf("%s@%d", served, gen)
-		}
+	out, err = s.pipe.Run(ctx, &q, pipeline.Route{Engine: served, Generation: gen, Probe: probe})
+	em.flush(stats)
+	if out.Computed {
+		em.compute.ObserveEx(out.Compute.Seconds(), tr.ID)
 	}
-
-	// Exact result hit: answer without an engine checkout. The breaker is
-	// not consulted — serving from memory says nothing about the engine.
-	if accel {
-		cacheSp := tr.StartSpan("cache")
-		cacheSp.SetAttr("key_engine", rkey.Engine)
-		if cached, ok := s.qc.GetResult(rkey); ok {
-			stats.CountCacheHit()
-			cacheKind = "exact"
-			// The span carries the hit so per-span counts still sum to the
-			// request's counter deltas (no algorithm span ran).
-			cacheSp.SetAttr("outcome", "exact")
-			cacheSp.Count("cache_hits", 1)
-			cacheSp.End()
-			if degraded {
-				em.degraded.Inc()
-			}
-			resp := FANNResponse{Micros: time.Since(start).Microseconds(), Engine: served, Degraded: degraded}
-			for _, a := range cached {
-				resp.Answers = append(resp.Answers, FANNAnswer{P: a.P, Dist: a.Dist, Subset: a.Subset})
-			}
-			if explain {
-				resp.Explain = tr.Report()
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		cacheSp.SetAttr("outcome", "miss")
-		cacheSp.End()
+	if m := s.metrics.coalesced; m != nil && out.Cache == "coalesced" {
+		m.Inc()
 	}
-
-	var computeMicros int64
-
-	// runQuery performs one real engine checkout and evaluation: bounded
-	// admission, stats binding, dispatch through the cache wrapper, and
-	// result-cache fill. It runs on this goroutine — directly, or as a
-	// flight leader on behalf of coalesced followers. When batching is on
-	// the checkout is delegated to the batch executor, which amortizes
-	// one admission across every query sharing (engine, Q) in the window.
-	runQuery := func() (answers []core.Answer, err error) {
-		// Arm fault containment first (LIFO: its recover runs last, after
-		// engine cleanup and pin release). Everything below may touch a
-		// mapped index — engine factories inside Acquire as well as the
-		// dispatch itself — and a SIGBUS on a rotted page must become a
-		// classified error plus a quarantine, not a dead process.
-		defer s.ranges.Guard(s.noteIndexFault)(&err)
-
-		if s.batcher != nil && accel {
-			endCompute := tr.Start("compute")
-			// The batch span covers queue wait plus execution; the task
-			// closure runs on the flush goroutine while this goroutine is
-			// parked in Do, so the algorithm spans it opens nest here (the
-			// trace crosses over and back through the result channel).
-			batchSp := tr.StartSpan("batch")
-			computeStart := time.Now()
-			var binfo qcache.BatchInfo
-			answers, binfo, err = s.batcher.Do(ctx, qcache.BatchKey{Engine: served, Q: rkey.Q}, tr.ID, func(gp core.GPhi) (banswers []core.Answer, berr error) {
-				// Tasks run on the flush goroutine, whose panic-on-fault
-				// state is independent of ours: arm its guard separately.
-				defer s.ranges.Guard(s.noteIndexFault)(&berr)
-				stop := q.BindContext(ctx)
-				defer stop()
-				eng := s.qc.Wrap(gp) // nil-safe: gp unchanged when caching is off
-				core.BindStats(eng, stats)
-				core.BindCancel(eng, ctx.Done())
-				defer func() {
-					core.BindStats(gp, nil)
-					core.BindCancel(gp, nil)
-				}()
-				return s.dispatch(req.Algo, eng, q, req.K)
-			})
-			leaderID, batchSize = binfo.Leader, binfo.Size
-			if binfo.Size > 0 {
-				batchSp.SetAttr("leader", binfo.Leader)
-				batchSp.SetAttr("size", binfo.Size)
-				role := "follower"
-				if binfo.Leader == tr.ID {
-					role = "leader"
-				}
-				batchSp.SetAttr("role", role)
-			}
-			batchSp.End()
-			endCompute()
-			computeMicros = time.Since(computeStart).Microseconds()
-			em.compute.ObserveEx(time.Since(computeStart).Seconds(), tr.ID)
-			em.flush(stats)
-			if err == nil {
-				s.qc.PutResult(rkey, answers)
-			}
-			return answers, err
-		}
-
-		// Bounded admission: wait in the pool's queue up to the deadline;
-		// saturation beyond the queue sheds with 503 + Retry-After. For a
-		// reloadable engine the checkout pins the index generation — the
-		// pin releases last (LIFO), after the engine is back in the
-		// generation's pool, and is what keeps the mapping alive while
-		// this request computes, no matter how many swaps land meanwhile.
-		endAdmit := tr.Start("admit")
-		pinSp := tr.StartSpan("pin")
-		pool, pin, err := s.checkout(served)
-		if err != nil {
-			pinSp.End()
-			endAdmit()
-			return nil, err
-		}
-		if pin != nil {
-			pinSp.SetAttr("generation", pin.Generation())
-			defer pin.Release()
-		}
-		pinSp.End()
-		gp, err := pool.Acquire(ctx)
-		endAdmit()
-		if err != nil {
-			return nil, err
-		}
-		// Scratch rides with the engine checkout: warm buffers make the
-		// steady-state query allocation-free. Answers may alias it until
-		// detachSubsets below, which runs before the Scratch is repooled.
-		scr := pool.GetScratch()
-		q.Scratch = scr
-
-		stop := q.BindContext(ctx)
-		defer stop()
-
-		// Attribute the engine's internal settles to this request's Stats.
-		// Pooled engines MUST be unbound before going back to the free
-		// list: a stale binding would let the next request write into this
-		// one's finished Stats. The cache wrapper is per-request state
-		// around the pooled engine; a probe skips it so every evaluation
-		// exercises the real substrate.
-		eng := gp
-		if accel {
-			eng = s.qc.Wrap(gp)
-		}
-		core.BindStats(eng, stats)
-		core.BindCancel(eng, ctx.Done())
-
-		computeStart := time.Now()
-		endCompute := tr.Start("compute")
-		completed := false
-		defer func() {
-			em.flush(stats)
-			if completed {
-				core.BindStats(gp, nil)
-				core.BindCancel(gp, nil)
-				pool.Release(gp)
-				pool.PutScratch(scr)
-				return
-			}
-			// On panic the engine's internal state is suspect: drop it for
-			// the GC instead of poisoning the free list (recoverPanics
-			// answers 500), and feed the breaker so repeated blowups open
-			// it.
-			outcome = "internal"
-			pool.Discard()
-			report(false)
-		}()
-		answers, err = s.dispatch(req.Algo, eng, q, req.K)
-		completed = true
-		endCompute()
-		elapsed := time.Since(computeStart)
-		computeMicros = elapsed.Microseconds()
-		em.compute.ObserveEx(elapsed.Seconds(), tr.ID)
-		// Detach before the deferred PutScratch: the answers outlive the
-		// checkout (JSON encoding, the result cache, coalesced followers),
-		// so any subset aliasing the Scratch must be cloned first.
-		detachSubsets(answers)
-		if err == nil {
-			s.qc.PutResult(rkey, answers)
-		}
-		return answers, err
-	}
-
-	// Coalescing: concurrent identical queries share one runQuery. The
-	// leader executes here; followers wait and adopt shareable outcomes.
-	// A follower never reports to the breaker (it ran nothing) and a
-	// canceled or panicking leader promotes a follower instead of
-	// poisoning it.
-	var answers []core.Answer
-	var err error
-	coalesced := false
-	if s.flight != nil && accel {
-		coSp := tr.StartSpan("coalesce")
-		var v any
-		var leader string
-		v, err, coalesced, leader = s.flight.Do(ctx, rkey, tr.ID, func() (any, error) { return runQuery() })
-		if v != nil {
-			answers = v.([]core.Answer)
-		}
-		if leader != "" {
-			leaderID = leader
-		}
-		if coalesced {
-			cacheKind = "coalesced"
-			stats.CountCacheHit()
-			// Attribution fix: the follower's trace and log line name the
-			// leader whose computation produced this answer. The span
-			// carries the coalesced hit so per-span counts still sum to the
-			// request's counter deltas.
-			coSp.SetAttr("role", "follower")
-			coSp.SetAttr("leader", leader)
-			coSp.Count("cache_hits", 1)
-			if m := s.metrics.coalesced; m != nil {
-				m.Inc()
-			}
-		} else {
-			coSp.SetAttr("role", "leader")
-		}
-		coSp.End()
-	} else {
-		answers, err = runQuery()
-	}
+	cacheKind = out.Cache
 	if err != nil {
-		if errors.Is(err, core.ErrSaturated) {
-			outcome = "overloaded"
-			s.shed(w, err)
-			return
-		}
-		// A checkout that raced a quarantine (the holder refused a pin) is
-		// retryable exactly like saturation: the next request routes down
-		// the ladder. The request that hit the fault itself answers 503
-		// "index_fault", also with a Retry-After — after the quarantine
-		// the ladder serves, and after a reload the index is back.
-		if errors.Is(err, lifecycle.ErrUnavailable) {
-			outcome = "overloaded"
-			s.shed(w, err)
-			return
-		}
-		var ifault *lifecycle.IndexFault
-		if errors.As(err, &ifault) {
-			s.retryAfterHeader(w)
-		}
-		if errors.Is(err, core.ErrCanceled) {
-			// Attribute the abort: a server-side deadline is a 504 the
-			// client will read; a vanished client just gets the connection
-			// closed.
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				err = fmt.Errorf("%w: %w", err, ctxErr)
-			}
-		}
 		// Client-fault and no-result outcomes prove the engine worked;
-		// internal errors count against it. Timeouts prove nothing —
-		// except for a probe, which the deferred guard above fails.
-		// Coalesced followers never report: they ran nothing.
-		if !coalesced {
-			switch status, _ := errStatus(err); status {
-			case http.StatusInternalServerError:
+		// internal errors (engine panics included) and index faults count
+		// against it. Sheds and timeouts prove nothing — except for a
+		// probe, which the deferred guard above fails. Cached and
+		// coalesced outcomes never report: they ran nothing.
+		if out.Cache == "" {
+			switch status, code := pipeline.Classify(err); {
+			case status == http.StatusInternalServerError || code == "index_fault":
 				report(false)
-			case http.StatusBadRequest, http.StatusNotFound:
+			case status == http.StatusBadRequest || status == http.StatusNotFound:
 				report(true)
 			}
 		}
 		failq(err)
 		return
 	}
-	if !coalesced {
+	if out.Cache == "" {
 		report(true)
 	}
 	if degraded {
 		em.degraded.Inc()
 	}
-	micros := computeMicros
-	if coalesced {
+	micros := out.Compute.Microseconds()
+	if !out.Computed {
 		micros = time.Since(start).Microseconds()
 	}
 	// A computed request whose only cache traffic was partial-list reuse
 	// answered from subsumption: surface that as the cache outcome.
-	if cacheKind == "" && accel && stats.CacheHits > 0 {
+	if cacheKind == "" && stats.CacheHits > 0 {
 		cacheKind = "subsume"
 	}
 	if cacheKind != "" {
 		root.SetAttr("cache", cacheKind)
 	}
 	resp := FANNResponse{Micros: micros, Engine: served, Degraded: degraded}
-	for _, a := range answers {
+	for _, a := range out.Answers {
 		resp.Answers = append(resp.Answers, FANNAnswer{P: a.P, Dist: a.Dist, Subset: a.Subset})
 	}
 	if explain {
 		resp.Explain = tr.Report()
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// detachSubsets clones every answer's subset out of whatever buffer the
-// engine or Scratch produced it in, giving the answers independent
-// lifetimes.
-func detachSubsets(answers []core.Answer) {
-	for i, a := range answers {
-		if len(a.Subset) > 0 {
-			answers[i].Subset = append([]graph.NodeID(nil), a.Subset...)
-		}
-	}
+	pipeline.WriteJSON(w, http.StatusOK, resp)
 }
 
 // routeEngine resolves which pool serves a request for requested: the
@@ -1266,23 +857,6 @@ func (s *Server) routeEngine(requested string) (served string, degraded, probe, 
 	return "", false, false, false
 }
 
-// decodeErr classifies a request-body decoding failure: an oversized body
-// keeps its *http.MaxBytesError identity (413), everything else is a
-// malformed request (400).
-func decodeErr(err error) error {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	return fmt.Errorf("%w: decoding request: %s", core.ErrInvalid, err)
-}
-
-// dispatch delegates to the shared core.Dispatch router (also used by
-// the shard hosts), keeping the wire algorithm names bound in one place.
-func (s *Server) dispatch(algo string, gp core.GPhi, q core.Query, k int) ([]core.Answer, error) {
-	return core.Dispatch(s.g, algo, gp, q, k)
-}
-
 // DistRequest is the /dist request body.
 type DistRequest struct {
 	U graph.NodeID `json:"u"`
@@ -1291,13 +865,13 @@ type DistRequest struct {
 
 func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	var req DistRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDistBody)).Decode(&req); err != nil {
-		fail(w, decodeErr(err))
+	if err := pipeline.DecodeJSON(w, r, maxDistBody, &req); err != nil {
+		pipeline.Fail(w, err, s.retryAfter)
 		return
 	}
 	n := graph.NodeID(s.g.NumNodes())
 	if req.U < 0 || req.U >= n || req.V < 0 || req.V >= n {
-		fail(w, invalidf("node ids outside [0,%d)", n))
+		pipeline.Fail(w, pipeline.Invalidf("node ids outside [0,%d)", n), s.retryAfter)
 		return
 	}
 	// /dist draws the same O(|V|) class of scratch as /fann (a pooled
@@ -1305,16 +879,12 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	// admission gate with the engine-pool limits: saturation sheds with
 	// 503 + Retry-After instead of growing the sync.Pool without bound.
 	if err := s.distGate.Acquire(r.Context()); err != nil {
-		if errors.Is(err, core.ErrSaturated) {
-			s.shed(w, err)
-			return
-		}
-		fail(w, err)
+		pipeline.Fail(w, err, s.retryAfter)
 		return
 	}
 	defer s.distGate.Release()
 	d := s.dist.Get().(*sp.Dijkstra)
 	dist := d.Dist(req.U, req.V)
 	s.dist.Put(d)
-	writeJSON(w, http.StatusOK, map[string]float64{"dist": dist})
+	pipeline.WriteJSON(w, http.StatusOK, map[string]float64{"dist": dist})
 }

@@ -11,11 +11,11 @@ package shard
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 
-	"fannr/internal/graph"
+	"fannr/internal/core"
+	"fannr/internal/pipeline"
 )
 
 // Wire frame: magic | version u16 | flags u16 | length u32 | payload |
@@ -28,13 +28,19 @@ const (
 	CodecVersion = 1
 	frameHeader  = 4 + 2 + 2 + 4 // magic, version, flags, length
 	frameTrailer = 4             // crc32
-	// maxFramePayload bounds a frame's JSON payload, mirroring the HTTP
-	// server's request-body cap.
-	maxFramePayload = 16 << 20
+	// maxFramePayload bounds a frame's JSON payload: the /fann body cap.
+	maxFramePayload = pipeline.MaxBody
 )
 
-// ErrCodec tags every frame-level decode failure (errors.Is-able).
-var ErrCodec = errors.New("shard: codec")
+// ErrCodec tags every frame-level decode failure (errors.Is-able). A
+// malformed frame is a malformed request, so ErrCodec also matches
+// core.ErrInvalid and classifies as 400 "invalid".
+var ErrCodec error = codecError{}
+
+type codecError struct{}
+
+func (codecError) Error() string        { return "shard: codec" }
+func (codecError) Is(target error) bool { return target == core.ErrInvalid }
 
 // EncodeFrame wraps payload in a version-1 frame.
 func EncodeFrame(payload []byte) ([]byte, error) {
@@ -83,25 +89,12 @@ func DecodeFrame(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Request is one shard RPC: the FANN query restricted to the P-objects
-// the coordinator routed to this shard. Wire shape matches the public
-// /fann request so the two layers stay mentally interchangeable.
-type Request struct {
-	P      []graph.NodeID `json:"p"`
-	Q      []graph.NodeID `json:"q"`
-	Phi    float64        `json:"phi"`
-	Agg    string         `json:"agg"`
-	Algo   string         `json:"algo"`
-	Engine string         `json:"engine"`
-	K      int            `json:"k"`
-}
+// Request is one shard RPC: the public /fann request restricted to the
+// P-objects the coordinator routed to this shard.
+type Request = pipeline.Request
 
-// Answer mirrors the public FANN answer shape.
-type Answer struct {
-	P      graph.NodeID   `json:"p"`
-	Dist   float64        `json:"dist"`
-	Subset []graph.NodeID `json:"subset,omitempty"`
-}
+// Answer is one answer on the wire.
+type Answer = core.Answer
 
 // Response is a shard's reply. A shard that owns no candidate close
 // enough simply returns an empty Answers list — per-shard "no result" is
@@ -114,6 +107,9 @@ type Response struct {
 	// Stats the coordinator folds into EXPLAIN spans.
 	GPhiEvals int64 `json:"gphi_evals,omitempty"`
 	CacheHit  bool  `json:"cache_hit,omitempty"`
+	// stats collects the call's op counts on the host; it lives in the
+	// Response so the warm host path allocates one object for both.
+	stats core.Stats
 }
 
 // EncodeRequest / DecodeRequest / EncodeResponse / DecodeResponse frame

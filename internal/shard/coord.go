@@ -13,6 +13,7 @@ import (
 
 	"fannr/internal/core"
 	"fannr/internal/obs"
+	"fannr/internal/pipeline"
 	"fannr/internal/qcache"
 	"fannr/internal/resil"
 )
@@ -33,7 +34,8 @@ type CoordinatorOptions struct {
 	// Scattering in bound-ordered waves is what lets early answers
 	// tighten the k-th distance and prune later shards.
 	MaxFanout int
-	// RetryAfter is the hint attached to coordinator sheds (default 1s).
+	// RetryAfter is the hint attached to coordinator sheds (rounded to
+	// whole seconds, at least 1).
 	RetryAfter time.Duration
 	// CacheEntries sizes the coordinator's exact-result cache (0
 	// disables). Keys are stamped with the plan epoch and the healthy
@@ -104,9 +106,6 @@ func NewCoordinator(plan *Plan, transports []Transport, opts CoordinatorOptions)
 	}
 	if opts.MaxFanout < 1 {
 		opts.MaxFanout = 4
-	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = time.Second
 	}
 	c := &Coordinator{plan: plan, transports: transports, opts: opts}
 	if opts.Retry != nil {
@@ -211,6 +210,7 @@ type shardCall struct {
 	outcome  string // "ok" | "pruned" | "down" | "skipped"
 	answers  int
 	micros   int64
+	evals    int64
 	code     string
 	cacheHit bool
 }
@@ -222,51 +222,21 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 	if c.mQueries != nil {
 		c.mQueries.Inc()
 	}
-	engine := req.Engine
-	if engine == "" {
-		engine = c.opts.DefaultEngine
-	}
-	q := core.Query{P: req.P, Q: req.Q, Phi: req.Phi}
-	switch req.Agg {
-	case "", "max":
-		q.Agg = core.Max
-	case "sum":
-		q.Agg = core.Sum
-	default:
-		return nil, Classify(fmt.Errorf("%w: unknown aggregate %q", core.ErrInvalid, req.Agg), 0)
-	}
-	if !core.KnownAlgo(req.Algo) {
-		return nil, Classify(fmt.Errorf("%w: unknown algorithm %q", core.ErrInvalid, req.Algo), 0)
-	}
-	if err := q.Validate(c.plan.g); err != nil {
+	nq, err := pipeline.Normalize(c.plan.g, req, c.opts.DefaultEngine)
+	if err != nil {
 		return nil, Classify(err, 0)
 	}
-	k := req.K
-	if k < 1 {
-		k = 1
-	}
+	q, engine, k := nq.Core, nq.Engine, nq.K
 
 	// Topology-stamped exact cache: engine@shards:<epoch>:<healthy mask>.
 	var rkey qcache.ResultKey
-	algo := req.Algo
-	if algo == "" {
-		algo = "gd"
-	}
 	if c.cache != nil {
-		rkey = qcache.ResultKey{
-			Engine: fmt.Sprintf("%s@shards:%d:%s", engine, c.plan.Epoch, c.healthyMask()),
-			Algo:   algo, Agg: q.Agg, Phi: q.Phi, K: k,
-			P: qcache.FingerprintNodes(q.P), Q: qcache.FingerprintNodes(q.Q),
-		}
+		rkey = nq.Key(fmt.Sprintf("%s@shards:%d:%s", engine, c.plan.Epoch, c.healthyMask()))
 		if answers, hit := c.cache.GetResult(rkey); hit {
 			if c.mCacheHit != nil {
 				c.mCacheHit.Inc()
 			}
-			res := &Result{Engine: engine, CacheHit: true, Micros: time.Since(start).Microseconds()}
-			for _, a := range answers {
-				res.Answers = append(res.Answers, Answer{P: a.P, Dist: a.Dist, Subset: a.Subset})
-			}
-			return res, nil
+			return &Result{Engine: engine, Answers: answers, CacheHit: true, Micros: time.Since(start).Microseconds()}, nil
 		}
 		if c.mCacheMiss != nil {
 			c.mCacheMiss.Inc()
@@ -348,7 +318,7 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 					errs[wi] = se
 				} else {
 					sc.outcome, sc.answers = "ok", len(resp.Answers)
-					sc.micros, sc.cacheHit = resp.Micros, resp.CacheHit
+					sc.micros, sc.evals, sc.cacheHit = resp.Micros, resp.GPhiEvals, resp.CacheHit
 					responses[wi] = resp
 				}
 				results[wi] = sc
@@ -406,11 +376,7 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 		return res, Classify(core.ErrNoResult, 0)
 	}
 	if c.cache != nil && !res.Degraded {
-		answers := make([]core.Answer, len(merged))
-		for i, a := range merged {
-			answers[i] = core.Answer{P: a.P, Dist: a.Dist, Subset: a.Subset}
-		}
-		c.cache.PutResult(rkey, answers)
+		c.cache.PutResult(rkey, merged)
 	}
 	return res, nil
 }
@@ -432,7 +398,7 @@ func (c *Coordinator) callShard(ctx context.Context, s int, req *Request) (*Resp
 		}
 		return nil, &Error{
 			Status: http.StatusServiceUnavailable, Code: "overloaded",
-			RetryAfter: int(c.opts.BreakerCooldown.Round(time.Second) / time.Second),
+			RetryAfter: pipeline.RetryAfterSecs(c.opts.BreakerCooldown),
 			Msg:        fmt.Sprintf("shard %d: breaker open", s),
 		}
 	}
@@ -469,9 +435,11 @@ func (c *Coordinator) callShard(ctx context.Context, s int, req *Request) (*Resp
 		if c.mShardErr != nil {
 			c.mShardErr[s].Inc()
 		}
-		return nil, Classify(err, int(c.opts.RetryAfter.Round(time.Second)/time.Second))
+		return nil, Classify(err, c.retryAfterSecs())
 	}
 }
+
+func (c *Coordinator) retryAfterSecs() int { return pipeline.RetryAfterSecs(c.opts.RetryAfter) }
 
 // emitSpans writes one span per considered shard. Traces are
 // single-goroutine, so spans are recorded after the parallel waves with
@@ -490,6 +458,7 @@ func (c *Coordinator) emitSpans(tr *obs.Trace, calls []shardCall) {
 		if sc.outcome == "ok" {
 			sp.SetAttr("answers", sc.answers)
 			sp.SetAttr("micros", sc.micros)
+			sp.SetAttr("gphi_evals", sc.evals)
 			if sc.cacheHit {
 				sp.SetAttr("shard_cache_hit", true)
 			}

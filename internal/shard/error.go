@@ -1,13 +1,12 @@
 package shard
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
-	"fannr/internal/core"
-	"fannr/internal/lifecycle"
+	"fannr/internal/pipeline"
 )
 
 // Error is the typed fault a transport hands the coordinator: the HTTP
@@ -32,39 +31,27 @@ func (e *Error) Error() string {
 // faults and overloads are retryable, client faults (4xx) are not.
 func (e *Error) Retryable() bool { return e.Status >= 500 }
 
-// Classify maps any error into the serving taxonomy, mirroring the HTTP
-// server's errStatus so a query answered through the coordinator fails
-// with the same {status, code} it would have failed with served
-// directly. retryAfter is attached to overload-class faults.
+// Classify maps any error into the serving taxonomy (pipeline.Classify),
+// so a query answered through the coordinator fails with the same
+// {status, code} it would have failed with served directly. An *Error
+// anywhere in the chain is already classified and passes through; a
+// 503 carries retryAfter seconds under the pipeline's Retry-After rule.
 func Classify(err error, retryAfter int) *Error {
 	var se *Error
 	if errors.As(err, &se) {
-		return se // already classified by a lower layer
+		return se
 	}
-	status, code := http.StatusInternalServerError, "internal"
-	var ifault *lifecycle.IndexFault
-	switch {
-	case errors.As(err, &ifault):
-		status, code = http.StatusServiceUnavailable, "index_fault"
-	case errors.Is(err, lifecycle.ErrUnavailable):
-		status, code = http.StatusServiceUnavailable, "overloaded"
-	case errors.Is(err, core.ErrInvalid), errors.Is(err, ErrCodec):
-		status, code = http.StatusBadRequest, "invalid"
-	case errors.Is(err, core.ErrNoResult):
-		status, code = http.StatusNotFound, "not_found"
-	case errors.Is(err, core.ErrSaturated):
-		status, code = http.StatusServiceUnavailable, "overloaded"
-	case errors.Is(err, core.ErrCanceled),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled):
-		status, code = http.StatusGatewayTimeout, "timeout"
-	}
+	status, code := pipeline.Classify(err)
 	e := &Error{Status: status, Code: code, Msg: err.Error()}
 	if status == http.StatusServiceUnavailable {
-		if retryAfter < 1 {
-			retryAfter = 1
-		}
-		e.RetryAfter = retryAfter
+		e.RetryAfter = pipeline.RetryAfterSecs(time.Duration(retryAfter) * time.Second)
 	}
 	return e
+}
+
+// writeError writes a classified error with its {error, code} body and
+// Retry-After header — the shape the public server writes, which is what
+// lets the coordinator relay a shard's fault without translation.
+func writeError(w http.ResponseWriter, se *Error) {
+	pipeline.WriteError(w, se.Status, se.Code, se.Msg, se.RetryAfter)
 }

@@ -2,18 +2,18 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"runtime/debug"
 	"sort"
 	"strconv"
 	"time"
 
 	"fannr/internal/core"
 	"fannr/internal/graph"
+	"fannr/internal/lifecycle"
+	"fannr/internal/pipeline"
 	"fannr/internal/qcache"
 )
 
@@ -25,7 +25,8 @@ type HostOptions struct {
 	Limits core.PoolLimits
 	// CacheEntries sizes the host-local result cache (0 disables it).
 	CacheEntries int
-	// RetryAfter is the hint attached to shed responses (default 1s).
+	// RetryAfter is the hint attached to shed responses (rounded to whole
+	// seconds, at least 1).
 	RetryAfter time.Duration
 	// Check, when set, gates every request: a lifecycle error returned
 	// here (ErrUnavailable, IndexFault) surfaces with the index-fault /
@@ -36,16 +37,17 @@ type HostOptions struct {
 
 // Host serves one shard: the full engine set over the (replicated)
 // graph, answering FANN queries restricted to the P-objects the
-// coordinator routes here. It is the single-process server's serving
-// core — pool admission, result cache, taxonomy — behind the framed
-// shard RPC instead of the public JSON API.
+// coordinator routes here. Queries run through the same pipeline as the
+// single-process server — normalisation, result cache, pool admission,
+// Scratch, deadline cancellation, op counts, fault guard and taxonomy —
+// behind the framed shard RPC instead of the public JSON API.
 type Host struct {
 	ID    int
 	g     *graph.Graph
 	opts  HostOptions
 	pools map[string]*core.EnginePool
 	order []string
-	cache *qcache.Cache
+	pipe  pipeline.Pipeline
 }
 
 // NewHost creates a host over g. Engines are added with AddEngine.
@@ -53,12 +55,12 @@ func NewHost(id int, g *graph.Graph, opts HostOptions) *Host {
 	if opts.PoolCapacity < 1 {
 		opts.PoolCapacity = 2
 	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = time.Second
-	}
 	h := &Host{ID: id, g: g, opts: opts, pools: map[string]*core.EnginePool{}}
-	if opts.CacheEntries > 0 {
-		h.cache = qcache.New(qcache.Config{MaxEntries: opts.CacheEntries})
+	h.pipe = pipeline.Pipeline{
+		G:        g,
+		Cache:    qcache.New(qcache.Config{MaxEntries: opts.CacheEntries}),
+		Checkout: h.checkout,
+		Ranges:   lifecycle.NewRanges(),
 	}
 	return h
 }
@@ -76,13 +78,12 @@ func (h *Host) AddEngine(name string, factory core.EngineFactory) error {
 // Engines lists the registered engine names in registration order.
 func (h *Host) Engines() []string { return append([]string(nil), h.order...) }
 
-func (h *Host) retryAfterSecs() int {
-	secs := int(h.opts.RetryAfter.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+// checkout is the host's pipeline checkout: static pools, no pins.
+func (h *Host) checkout(engine string) (*core.EnginePool, *lifecycle.Pin, error) {
+	return h.pools[engine], nil, nil
 }
+
+func (h *Host) retryAfterSecs() int { return pipeline.RetryAfterSecs(h.opts.RetryAfter) }
 
 // Execute answers one shard RPC. An empty P (the coordinator routed no
 // objects here) and a query whose best candidate is unreachable both
@@ -100,99 +101,26 @@ func (h *Host) Execute(ctx context.Context, req *Request) (*Response, error) {
 	if len(req.P) == 0 {
 		return &Response{Engine: req.Engine}, nil
 	}
-	q := core.Query{P: req.P, Q: req.Q, Phi: req.Phi}
-	switch req.Agg {
-	case "", "max":
-		q.Agg = core.Max
-	case "sum":
-		q.Agg = core.Sum
-	default:
-		return nil, Classify(fmt.Errorf("%w: unknown aggregate %q", core.ErrInvalid, req.Agg), 0)
-	}
-	if !core.KnownAlgo(req.Algo) {
-		return nil, Classify(fmt.Errorf("%w: unknown algorithm %q", core.ErrInvalid, req.Algo), 0)
-	}
-	if err := q.Validate(h.g); err != nil {
+	q, err := pipeline.Normalize(h.g, req, h.order[0])
+	if err != nil {
 		return nil, Classify(err, 0)
 	}
-	k := req.K
-	if k < 1 {
-		k = 1
+	if _, ok := h.pools[q.Engine]; !ok {
+		return nil, Classify(pipeline.Invalidf("unknown engine %q", q.Engine), 0)
 	}
-	engine := req.Engine
-	if engine == "" {
-		engine = h.order[0]
-	}
-	pool, ok := h.pools[engine]
-	if !ok {
-		return nil, Classify(fmt.Errorf("%w: unknown engine %q", core.ErrInvalid, engine), 0)
-	}
-
-	algo := req.Algo
-	if algo == "" {
-		algo = "gd"
-	}
-	var rkey qcache.ResultKey
-	if h.cache != nil {
-		rkey = qcache.ResultKey{
-			Engine: engine, Algo: algo, Agg: q.Agg, Phi: q.Phi, K: k,
-			P: qcache.FingerprintNodes(q.P), Q: qcache.FingerprintNodes(q.Q),
-		}
-		if answers, hit := h.cache.GetResult(rkey); hit {
-			resp := h.respond(engine, answers, start)
-			resp.CacheHit = true
-			return resp, nil
-		}
-	}
-
-	gp, err := pool.Acquire(ctx)
-	if err != nil {
+	resp := &Response{Engine: q.Engine}
+	q.Core.Stats = &resp.stats
+	out, err := h.pipe.Run(ctx, &q, pipeline.Route{Engine: q.Engine})
+	if err != nil && !errors.Is(err, core.ErrNoResult) {
 		return nil, Classify(err, h.retryAfterSecs())
 	}
-	answers, err := h.dispatch(pool, gp, algo, q, k)
-	if errors.Is(err, core.ErrNoResult) {
-		return h.respond(engine, nil, start), nil
-	}
-	if err != nil {
-		return nil, Classify(err, h.retryAfterSecs())
-	}
-	if h.cache != nil {
-		h.cache.PutResult(rkey, answers)
-	}
-	return h.respond(engine, answers, start), nil
-}
-
-// dispatch runs the algorithm and returns the engine to its pool; a
-// panicking engine is discarded (capacity is restored with a fresh
-// instance) and surfaces as an internal fault, never a crash.
-func (h *Host) dispatch(pool *core.EnginePool, gp core.GPhi, algo string, q core.Query, k int) (answers []core.Answer, err error) {
-	finished := false
-	defer func() {
-		if r := recover(); r != nil {
-			pool.Discard()
-			answers = nil
-			err = fmt.Errorf("shard: engine panic: %v\n%s", r, debug.Stack())
-			return
-		}
-		if !finished {
-			pool.Discard()
-		} else {
-			pool.Release(gp)
-		}
-	}()
-	answers, err = core.Dispatch(h.g, algo, gp, q, k)
-	finished = true
-	return answers, err
-}
-
-func (h *Host) respond(engine string, answers []core.Answer, start time.Time) *Response {
-	resp := &Response{Engine: engine, Micros: time.Since(start).Microseconds()}
-	for _, a := range answers {
-		resp.Answers = append(resp.Answers, Answer{
-			P: a.P, Dist: a.Dist, Subset: append([]graph.NodeID(nil), a.Subset...),
-		})
-	}
-	return resp
+	// The answers are the pipeline's detached copies (or the cache's
+	// shared ones): the response takes them as they are.
+	resp.Answers = out.Answers
+	resp.CacheHit = out.Cache == "exact"
+	resp.GPhiEvals = resp.stats.GPhiEvals
+	resp.Micros = time.Since(start).Microseconds()
+	return resp, nil
 }
 
 // Handler serves the shard RPC:
@@ -214,22 +142,22 @@ func (h *Host) Handler() http.Handler {
 func (h *Host) handleFANN(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFramePayload+frameHeader+frameTrailer))
 	if err != nil {
-		h.fail(w, Classify(fmt.Errorf("%w: reading frame: %s", ErrCodec, err), 0))
+		writeError(w, Classify(fmt.Errorf("%w: reading frame: %s", ErrCodec, err), 0))
 		return
 	}
 	req, err := DecodeRequest(body)
 	if err != nil {
-		h.fail(w, Classify(err, 0))
+		writeError(w, Classify(err, 0))
 		return
 	}
 	resp, err := h.Execute(r.Context(), req)
 	if err != nil {
-		h.fail(w, Classify(err, h.retryAfterSecs()))
+		writeError(w, Classify(err, h.retryAfterSecs()))
 		return
 	}
 	frame, err := EncodeResponse(resp)
 	if err != nil {
-		h.fail(w, Classify(err, 0))
+		writeError(w, Classify(err, 0))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -241,28 +169,11 @@ func (h *Host) handleFANN(w http.ResponseWriter, r *http.Request) {
 func (h *Host) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if h.opts.Check != nil {
 		if err := h.opts.Check(); err != nil {
-			h.fail(w, Classify(err, h.retryAfterSecs()))
+			writeError(w, Classify(err, h.retryAfterSecs()))
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"status\":\"ok\",\"shard\":%d,\"engines\":%d}\n", h.ID, len(h.pools))
-}
-
-// fail writes a classified error with the taxonomy body and headers.
-func (h *Host) fail(w http.ResponseWriter, se *Error) {
-	if se.RetryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(se.RetryAfter))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(se.Status)
-	fmt.Fprintf(w, "{\"error\":%s,\"code\":%s}\n", jsonString(se.Msg), jsonString(se.Code))
-}
-
-// jsonString quotes s as a JSON string.
-func jsonString(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
+	pipeline.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "shard": h.ID, "engines": len(h.pools)})
 }
 
 // sortAnswers keeps merged answer lists ordered by distance then node id

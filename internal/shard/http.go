@@ -1,29 +1,17 @@
 package shard
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"runtime/debug"
-	"strconv"
 	"time"
 
-	"fannr/internal/graph"
 	"fannr/internal/obs"
+	"fannr/internal/pipeline"
 	"fannr/internal/resil"
 )
 
-// FANNRequest mirrors the single-process server's /fann request body, so
-// a client can point at a coordinator without changing a byte.
-type FANNRequest struct {
-	P      []graph.NodeID `json:"p"`
-	Q      []graph.NodeID `json:"q"`
-	Phi    float64        `json:"phi"`
-	Agg    string         `json:"agg"`
-	Algo   string         `json:"algo"`
-	Engine string         `json:"engine"`
-	K      int            `json:"k"`
-}
+// FANNRequest is the single-process server's /fann request body, so a
+// client can point at a coordinator without changing a byte.
+type FANNRequest = pipeline.Request
 
 // FANNResponse extends the server's response shape with the
 // scatter-gather accounting: which shards were down (degraded partial
@@ -42,11 +30,8 @@ type FANNResponse struct {
 	Explain         *obs.Report `json:"explain,omitempty"`
 }
 
-// ErrorResponse matches the server's error body.
-type ErrorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
+// ErrorResponse is the server's error body.
+type ErrorResponse = pipeline.ErrorResponse
 
 // Handler serves the coordinator's public surface:
 //
@@ -64,46 +49,14 @@ func (c *Coordinator) Handler() http.Handler {
 	if c.opts.Registry != nil {
 		mux.Handle("GET /metrics", c.opts.Registry.Handler())
 	}
-	return recoverPanics(mux)
-}
-
-// recoverPanics turns a handler panic into a 500 — a shard bug must not
-// take the coordinator down with it.
-func recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				writeJSON(w, http.StatusInternalServerError, ErrorResponse{
-					Error: fmt.Sprintf("internal error: %v", rec), Code: "internal",
-				})
-				debug.PrintStack()
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// failHTTP writes a classified error, relaying the {error, code} body
-// and the Retry-After hint end-to-end — a shard's 503 leaves the
-// coordinator as a 503 with the same code, not a generic 500.
-func failHTTP(w http.ResponseWriter, se *Error) {
-	if se.RetryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(se.RetryAfter))
-	}
-	writeJSON(w, se.Status, ErrorResponse{Error: se.Msg, Code: se.Code})
+	return pipeline.RecoverPanics(mux)
 }
 
 func (c *Coordinator) handleFANN(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req FANNRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFramePayload)).Decode(&req); err != nil {
-		failHTTP(w, &Error{Status: http.StatusBadRequest, Code: "invalid", Msg: fmt.Sprintf("decoding request: %v", err)})
+	if err := pipeline.DecodeJSON(w, r, pipeline.MaxBody, &req); err != nil {
+		writeError(w, Classify(err, 0))
 		return
 	}
 	explain := r.URL.Query().Get("explain") == "1" || r.Header.Get("X-Fannr-Explain") != ""
@@ -111,12 +64,9 @@ func (c *Coordinator) handleFANN(w http.ResponseWriter, r *http.Request) {
 	if explain {
 		tr = obs.NewTrace(obs.NewRequestID())
 	}
-	res, err := c.Execute(r.Context(), &Request{
-		P: req.P, Q: req.Q, Phi: req.Phi, Agg: req.Agg,
-		Algo: req.Algo, Engine: req.Engine, K: req.K,
-	}, tr)
+	res, err := c.Execute(r.Context(), &req, tr)
 	if err != nil {
-		failHTTP(w, Classify(err, int(c.opts.RetryAfter.Round(time.Second)/time.Second)))
+		writeError(w, Classify(err, c.retryAfterSecs()))
 		return
 	}
 	resp := FANNResponse{
@@ -131,11 +81,11 @@ func (c *Coordinator) handleFANN(w http.ResponseWriter, r *http.Request) {
 		tr.Root().End()
 		resp.Explain = tr.Report()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	pipeline.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards": c.plan.Shards()})
+	pipeline.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards": c.plan.Shards()})
 }
 
 // shardStatus is one shard's /readyz row.
@@ -174,7 +124,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		out.Status = "unavailable"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, out)
+	pipeline.WriteJSON(w, status, out)
 }
 
 func (c *Coordinator) handleMeta(w http.ResponseWriter, _ *http.Request) {
@@ -200,5 +150,5 @@ func (c *Coordinator) handleMeta(w http.ResponseWriter, _ *http.Request) {
 			Shard: s, Target: c.transports[s].Target(), Vertices: len(c.plan.Group(s)),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	pipeline.WriteJSON(w, http.StatusOK, out)
 }

@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/gtree"
 	"fannr/internal/lifecycle"
+	"fannr/internal/pipeline"
 	"fannr/internal/resil"
 )
 
@@ -73,6 +75,7 @@ func TestCoordinatorErrorTaxonomy(t *testing.T) {
 		code   string
 	}{
 		{"malformed json", `{"p":[1,2`, http.StatusBadRequest, "invalid"},
+		{"oversized body", `{"p":[0],"q":[1],"phi":0.5,"pad":"` + strings.Repeat("x", pipeline.MaxBody) + `"}`, http.StatusRequestEntityTooLarge, "too_large"},
 		{"wrong field type", `{"p":"not-a-list"}`, http.StatusBadRequest, "invalid"},
 		{"empty P", `{"p":[],"q":[0,1],"phi":0.5}`, http.StatusBadRequest, "invalid"},
 		{"empty Q", `{"p":[0],"q":[],"phi":0.5}`, http.StatusBadRequest, "invalid"},
@@ -121,10 +124,12 @@ func TestCoordinatorRelaysShardSheds(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		checkErr error
+		trip     bool // open every shard breaker, whose cooldown is below one second
 		code     string
 	}{
-		{"quarantined holder", lifecycle.ErrUnavailable, "overloaded"},
-		{"index fault", &lifecycle.IndexFault{Index: "phl", Addr: 0xdead, Cause: "SIGBUS"}, "index_fault"},
+		{"quarantined holder", lifecycle.ErrUnavailable, false, "overloaded"},
+		{"index fault", &lifecycle.IndexFault{Index: "phl", Addr: 0xdead, Cause: "SIGBUS"}, false, "index_fault"},
+		{"open shard breakers", nil, true, "overloaded"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, tree := testGraph(t, nodes, 21)
@@ -143,10 +148,15 @@ func TestCoordinatorRelaysShardSheds(t *testing.T) {
 				transports[s] = InProc{Host: h}
 			}
 			coord, err := NewCoordinator(plan, transports, CoordinatorOptions{
-				Retry: &resil.RetryPolicy{Attempts: 1},
+				Retry:           &resil.RetryPolicy{Attempts: 1},
+				BreakerCooldown: 100 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.trip {
+				coord.TripShard(0)
+				coord.TripShard(1)
 			}
 			status, retryAfter, e := postCoord(t, coord.Handler(),
 				`{"p":[1,2,3,100,200],"q":[5,50],"phi":1}`)
